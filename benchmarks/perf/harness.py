@@ -193,8 +193,9 @@ def multiproc_stages(stages: dict, *, dataset=None) -> None:
     the steady state every multi-epoch run sees; spawn/handshake cost is
     reported separately.  The cluster is then parked in the warm pool and
     a fresh identically-configured backend restarts from it, measuring the
-    amortized (warm) start.  ``cores`` records the CPU budget the run
-    actually had — baseline checks that assert real parallelism beats the
+    amortized (warm) start.  ``blas_threads`` records the BLAS thread
+    count every process ran with (1, pinned at import; ``None`` without
+    OpenBLAS).  ``cores`` records the CPU budget the run actually had — baseline checks that assert real parallelism beats the
     simulator only apply when at least ``requires_cores`` were available
     (8 workers time-slicing one core can eliminate overhead, not compute).
     """
@@ -202,6 +203,7 @@ def multiproc_stages(stages: dict, *, dataset=None) -> None:
     import os
 
     from repro.distributed.multiproc import WORKER_POOL
+    from repro.utils.blas import blas_threads
 
     ds = dataset if dataset is not None else load_dataset(DATASET)
     planner = Planner()
@@ -257,6 +259,7 @@ def multiproc_stages(stages: dict, *, dataset=None) -> None:
         warm_start_wall_s=round(warm_start_wall, 6),
         warm_epoch_wall_s=round(warm_wall, 6),
         cores=len(os.sched_getaffinity(0)),
+        blas_threads=blas_threads(),
         workers=K,
         wire_sent_bytes=wire_sent_bytes,
         wire_received_bytes=wire_received_bytes,

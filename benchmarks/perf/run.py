@@ -102,6 +102,7 @@ def append_history(doc: dict, path: str) -> dict:
                 key: val for key, val in e.items()
                 if key in ("wall_s", "speedup_vs_dense", "dense_wall_s",
                            "spawn_wall_s", "warm_start_wall_s", "cores",
+                           "blas_threads",
                            "wire_sent_bytes", "wire_received_bytes",
                            "warm_pool_hit", "warm_pool_miss")
                 and val is not None

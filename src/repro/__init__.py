@@ -20,6 +20,12 @@ Quickstart
 """
 
 from repro.graph import CSRGraph, GraphDataset, load_dataset
+from repro.utils.blas import pin_single_thread
+
+# One BLAS thread in every process that imports the package: coordinator,
+# in-process engines, serving, and each spawned multiproc worker (the child
+# imports ``repro`` to unpickle its entry point).  See repro.utils.blas.
+pin_single_thread()
 
 __version__ = "1.0.0"
 

@@ -55,6 +55,15 @@ model replica seeded exactly as the in-process trainer's, and a
 segments — so "remote" fetches really cross a process boundary in plan
 terms while the rows come from shared memory.
 
+Every process runs **one BLAS thread** (:mod:`repro.utils.blas`): the
+child imports :mod:`repro` to unpickle :func:`_worker_main`, and that
+import pins numpy's OpenBLAS, exactly as it pinned the coordinator's.
+Parallelism comes from the K processes; K OpenBLAS pools of one thread
+per core would oversubscribe the cores several times over.  The pin is
+also what keeps the losses bit-identical: OpenBLAS splits a GEMM by its
+thread count, which moves the product's low-order bits, so every process
+must use the same count on every machine, whatever its core count.
+
 Warm worker pool
 ----------------
 Spawning K interpreters and importing numpy in each costs seconds; binding
@@ -64,9 +73,13 @@ clean close (they release every segment view and wait idle); the next
 backend whose cluster *fingerprint* (a content hash over every WorkerSpec —
 seeds, id arrays, hyperparameters, segment shapes — excluding the per-run
 segment names) matches acquires them and rebinds, amortizing the spawn cost
-across ``SalientPP`` runs.  Parking is off by default so teardown-sensitive
-callers (and the fault-injection suite) see every process dead after
-``close()``; fault-injected or mid-epoch clusters are never parked.
+across ``SalientPP`` runs.  Each worker reports its BLAS thread count in
+its ``bound`` reply to every bind, fresh or warm, and a count that differs
+from the coordinator's fails the bind with a :class:`WorkerFailedError`
+naming the machine, rather than silently breaking loss parity.  Parking is
+off by default so teardown-sensitive callers (and the fault-injection
+suite) see every process dead after ``close()``; fault-injected or
+mid-epoch clusters are never parked.
 
 Failure semantics: a worker that dies, hangs past the timeout, violates the
 slab protocol, or reports an exception raises :class:`WorkerFailedError`;
@@ -121,6 +134,7 @@ from repro.distributed.shm_plane import (
 )
 from repro.distributed.wire import WireError, pack_message, unpack_message
 from repro.obs import OBS, clock_anchor, spans_from_wire, spans_to_wire
+from repro.utils.blas import blas_threads
 from repro.utils.rng import derive_seed, machine_stream_seed
 
 # NOTE: repro.pipeline modules are imported lazily inside functions — same
@@ -902,7 +916,8 @@ def _worker_main(conn) -> None:
                     runtime = None
                 runtime = _WorkerRuntime(_decode_spec(payload), conn)
                 conn.send_bytes(pack_message(
-                    "bound", {"machine": runtime.spec.machine}))
+                    "bound", {"machine": runtime.spec.machine,
+                              "blas_threads": blas_threads()}))
             elif kind == "park":
                 if runtime is not None:
                     runtime.release()
@@ -1321,11 +1336,7 @@ class MultiprocBackend(ClusterBackend):
             for k in range(K):
                 self._send(k, "bind", _encode_spec(self.worker_specs[k]))
             for k in range(K):
-                kind, payload = self._recv(k, deadline=deadline)
-                if kind != "bound":
-                    self._fail(k, f"expected bound handshake, got {kind!r}")
-                if not isinstance(payload, dict) or payload.get("machine") != k:
-                    self._fail(k, "bound handshake reported the wrong machine")
+                self._check_bound(k, *self._recv(k, deadline=deadline))
         except WorkerFailedError:
             raise
         except Exception:
@@ -1558,6 +1569,20 @@ class MultiprocBackend(ClusterBackend):
                 self._fail(k, f"no message within {self.timeout_s:.0f}s")
         return inbox.popleft()
 
+    def _check_bound(self, k: int, kind: str, payload) -> None:
+        """Validate worker ``k``'s reply to ``bind``: the right rank, and
+        the coordinator's BLAS thread count (loss bit-parity depends on it,
+        see :mod:`repro.utils.blas`)."""
+        if kind != "bound":
+            self._fail(k, f"expected bound handshake, got {kind!r}")
+        if not isinstance(payload, dict) or payload.get("machine") != k:
+            self._fail(k, "bound handshake reported the wrong machine")
+        want = blas_threads()
+        if payload.get("blas_threads") != want:
+            self._fail(k, f"worker runs {payload.get('blas_threads')} BLAS "
+                          f"threads, coordinator {want}: losses would not be "
+                          "bit-identical")
+
     def _expect(self, k: int, want: str):
         kind, payload = self._recv(k)
         if kind != want:
@@ -1789,14 +1814,8 @@ class MultiprocBackend(ClusterBackend):
                     enc["faults"] = []
                     self._send(j, "bind", enc)
                 for j in sorted(failed):
-                    kind, payload = self._recv(j, deadline=ready_deadline)
-                    if kind != "bound":
-                        self._fail(j, f"expected bound handshake, "
-                                      f"got {kind!r}")
-                    if not isinstance(payload, dict) \
-                            or payload.get("machine") != j:
-                        self._fail(j, "bound handshake reported the "
-                                      "wrong machine")
+                    self._check_bound(
+                        j, *self._recv(j, deadline=ready_deadline))
 
                 self._restore_all(checkpoint)
 

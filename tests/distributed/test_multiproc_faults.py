@@ -72,6 +72,28 @@ def test_external_kill_between_epochs():
     _assert_fully_torn_down(backend)
 
 
+def test_blas_thread_mismatch_fails_bound_handshake(monkeypatch):
+    # Loss bit-parity depends on every process using the coordinator's
+    # BLAS thread count; a worker reporting another count in its ``bound``
+    # reply must fail the start loudly, attributed to that machine.
+    real_recv = MultiprocBackend._recv
+
+    def forged_recv(self, k, deadline=None):
+        kind, payload = real_recv(self, k, deadline=deadline)
+        if kind == "bound" and k == 1:
+            payload = dict(payload,
+                           blas_threads=(payload["blas_threads"] or 1) + 3)
+        return kind, payload
+
+    monkeypatch.setattr(MultiprocBackend, "_recv", forged_recv)
+    backend = MultiprocBackend(_build_system(), timeout_s=30.0)
+    with pytest.raises(WorkerFailedError, match="BLAS threads") as excinfo:
+        backend.start()
+    assert excinfo.value.machine == 1
+    assert "worker 1" in str(excinfo.value)
+    _assert_fully_torn_down(backend)
+
+
 def test_clean_shutdown_leaves_nothing_behind():
     system = _build_system()
     backend = MultiprocBackend(system, timeout_s=30.0)
